@@ -13,11 +13,16 @@ to keep the suite honest about regression.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The reference kernels the micro-benchmarks time as their "before" live
+# with the tests (``tests/_reference_kernels.py``).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,8 @@ Unlike the paper-reproduction benches (which report *modelled* time),
 these track the real wall-clock cost of the library's inner kernels so
 performance regressions of the simulator itself are visible:
 
-* the vectorised move-selection sweep;
+* the vectorised move-selection sweep, from singletons and mid-phase,
+  against the lexsort reference kernel as its "before";
 * the vectorised greedy coloring and vertex-following seeds (and their
   reference per-vertex scans, kept as before/after comparisons);
 * serial graph coarsening;
@@ -16,47 +17,76 @@ performance regressions of the simulator itself are visible:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+import pytest
 
 from repro.core import coarsen_csr, pack_info
 from repro.core.commcache import CommunityCache
-from repro.core.grappolo import (
-    _greedy_coloring_loop,
-    _vertex_following_loop,
-    greedy_coloring,
-    vertex_following_seed,
-)
-from repro.core.sweep import propose_moves
+from repro.core.grappolo import greedy_coloring, vertex_following_seed
+from repro.core.sweep import propose_moves, sorted_lookup
 from repro.generators import generate_lfr
 from repro.graph import CSRGraph, DistGraph, EdgeList
 from repro.runtime import FREE, run_spmd
+from tests._reference_kernels import (
+    greedy_coloring_loop,
+    propose_moves_lexsort,
+    vertex_following_loop,
+)
 
 
 def _graph():
     return generate_lfr(3000, avg_degree=16, seed=1).edges
 
 
-def test_kernel_propose_moves(benchmark):
-    g = _graph().to_csr()
+def _sweep_inputs(g: CSRGraph, comm: np.ndarray) -> dict:
+    """Kernel arguments for ``comm``, with ``sorted_lookup`` closures over
+    the referenced community ids as the distributed sweep builds them."""
     n = g.num_vertices
     k = g.degrees()
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.index))
-    comm = np.arange(n, dtype=np.int64)
-    tot = k.copy()
-    size = np.ones(n, dtype=np.int64)
-
-    result = benchmark(
-        propose_moves,
+    tot = np.zeros(n)
+    np.add.at(tot, comm, k)
+    size = np.bincount(comm, minlength=n)
+    target = comm[g.edges]
+    needed = np.unique(np.concatenate([target, comm]))
+    return dict(
         index=g.index,
-        target_comm=comm[g.edges],
+        target_comm=target,
         weights=g.weights,
         self_mask=g.edges == rows,
         degrees=k,
         cur_comm=comm,
         total_weight=g.total_weight,
-        tot_lookup=lambda ids: tot[ids],
-        size_lookup=lambda ids: size[ids],
+        tot_lookup=sorted_lookup(needed, tot[needed]),
+        size_lookup=sorted_lookup(needed, size[needed]),
     )
+
+
+@lru_cache(maxsize=2)
+def _sweep_case(case: str) -> dict:
+    if case == "singletons":
+        g = _graph().to_csr()
+        return _sweep_inputs(g, np.arange(g.num_vertices, dtype=np.int64))
+    # "mid_phase": LFR n=20000, three sweeps into the first phase.
+    g = generate_lfr(20000, seed=3).edges.to_csr()
+    comm = np.arange(g.num_vertices, dtype=np.int64)
+    for _ in range(3):
+        comm = propose_moves(**_sweep_inputs(g, comm)).proposal
+    return _sweep_inputs(g, comm)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [propose_moves, propose_moves_lexsort],
+    ids=["sortfree", "lexsort_reference"],
+)
+@pytest.mark.parametrize("case", ["singletons", "mid_phase"])
+def test_kernel_propose_moves(benchmark, case, kernel):
+    inputs = _sweep_case(case)
+
+    result = benchmark(kernel, **inputs)
     assert result.num_moves > 0
 
 
@@ -71,7 +101,7 @@ def test_kernel_greedy_coloring_loop(benchmark):
     # Reference per-vertex scan: the "before" of the vectorised kernel.
     g = _graph().to_csr()
 
-    colors = benchmark(_greedy_coloring_loop, g)
+    colors = benchmark(greedy_coloring_loop, g)
     assert colors.min() == 0
 
 
@@ -86,7 +116,7 @@ def test_kernel_vertex_following_loop(benchmark):
     # Reference per-vertex scan: the "before" of the vectorised kernel.
     g = _graph().to_csr()
 
-    comm = benchmark(_vertex_following_loop, g)
+    comm = benchmark(vertex_following_loop, g)
     assert len(comm) == g.num_vertices
 
 

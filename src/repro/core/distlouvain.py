@@ -174,6 +174,20 @@ class _GhostChannel:
         return self._ghost
 
 
+def _unique_ids(ids: np.ndarray) -> np.ndarray:
+    """Sorted unique community ids: ``np.unique`` without the sort.
+
+    Marks each id in a bool array over ``[min, max]``; community ids
+    are vertex ids, so the span is at most the global vertex count.
+    """
+    if not len(ids):
+        return np.empty(0, dtype=np.int64)
+    lo = int(ids.min())
+    mark = np.zeros(int(ids.max()) - lo + 1, dtype=bool)
+    mark[ids - lo] = True
+    return np.flatnonzero(mark) + lo
+
+
 def _sweep_round(
     comm: Communicator,
     dg: DistGraph,
@@ -216,11 +230,11 @@ def _sweep_round(
     # (ii) fetch a_c and |c| for the communities this round evaluates:
     # neighbours of active vertices + their own.
     if len(target_comm):
-        needed = np.unique(
+        needed = _unique_ids(
             np.concatenate([target_comm[active[rows]], local_comm[active]])
         )
     else:
-        needed = np.unique(local_comm[active])
+        needed = _unique_ids(local_comm[active])
     if cache is not None:
         prefetch = None
         if cache.cold:
@@ -229,9 +243,9 @@ def _sweep_round(
             # active or not) so later rounds never miss — new ids can
             # then only arrive through hinted ghost moves.
             prefetch = (
-                np.unique(np.concatenate([target_comm, local_comm]))
+                _unique_ids(np.concatenate([target_comm, local_comm]))
                 if len(target_comm)
-                else np.unique(local_comm)
+                else _unique_ids(local_comm)
             )
         needed_tot, needed_size = cache.fetch(
             comm, needed, tot_owned, size_owned, prefetch=prefetch

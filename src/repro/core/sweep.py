@@ -7,13 +7,17 @@ iteration start (the same semantics as Grappolo [22]).  This module
 implements that snapshot sweep as numpy segment operations:
 
 1. group every (vertex, neighbouring community) pair and sum the edge
-   weights into ``d_{u,c}``;
+   weights into ``d_{u,c}``: one stable argsort of the fused int64 key
+   ``row * span + (comm - lo)`` orders the pairs row-major, then
+   ``np.add.reduceat`` sums each group in CSR order;
 2. score each candidate ``score(c) = d_{u,c} - k_u * tot'(c) / W`` where
    ``tot'`` excludes ``u``'s own degree from its current community —
    maximising this score is equivalent to maximising the modularity gain
    of Algorithm 1 line 6;
-3. per vertex, pick the best-scoring community (ties broken toward the
-   smallest community id, which also gives deterministic output);
+3. per vertex, pick the best-scoring community with a ``maximum.reduceat``
+   over the row segments, ties broken toward the smallest community id
+   by a ``minimum.reduceat`` over the candidates scoring exactly that
+   best (which also gives deterministic output);
 4. suppress the classic singleton-singleton swap oscillation: when both
    the vertex's community and the target are singletons, only the move
    toward the smaller id is allowed (the "minimum labelling" rule of
@@ -34,6 +38,8 @@ import numpy as np
 
 #: Relative tolerance for "strictly positive gain" decisions.
 GAIN_EPS = 1e-12
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -120,41 +126,55 @@ def propose_moves(
     c_comm = np.concatenate([c_comm, cur_comm[act_ids]])
     c_w = np.concatenate([c_w, np.zeros(len(act_ids))])
 
-    # Group by (row, community) and sum weights -> d_{u,c}.
-    order = np.lexsort((c_comm, c_rows))
-    c_rows, c_comm, c_w = c_rows[order], c_comm[order], c_w[order]
-    first = np.empty(len(c_rows), dtype=bool)
+    # Group by (row, community) and sum weights -> d_{u,c}.  A stable
+    # argsort of the fused key row*span + (comm - lo) is the same
+    # permutation as lexsort((comm, row)), so reduceat sums every
+    # d_{u,c} in the same order (bit-identical).
+    lo = int(c_comm.min())
+    span = int(c_comm.max()) - lo + 1
+    if nloc * span - 1 > _INT64_MAX:
+        raise OverflowError(
+            f"(row, community) key space {nloc} x {span} exceeds int64"
+        )
+    key = c_rows * span + (c_comm - lo)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty(len(key), dtype=bool)
     first[0] = True
-    first[1:] = (c_rows[1:] != c_rows[:-1]) | (c_comm[1:] != c_comm[:-1])
+    np.not_equal(key[1:], key[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    d = np.add.reduceat(c_w, starts)
-    pr = c_rows[starts]
-    pc = c_comm[starts]
+    d = np.add.reduceat(c_w[order], starts)
+    pr, pc = np.divmod(key[starts], span)
+    pc += lo
 
     # Score candidates against the snapshot totals (minus own degree
     # when evaluating the current community).
-    tot_eff = tot_lookup(pc).astype(np.float64, copy=True)
+    k_pr = degrees[pr]
     is_src = pc == cur_comm[pr]
-    tot_eff[is_src] -= degrees[pr[is_src]]
-    score = d - resolution * degrees[pr] * tot_eff / total_weight
+    tot_eff = tot_lookup(pc) - np.where(is_src, k_pr, 0.0)
+    score = d - resolution * k_pr * tot_eff / total_weight
 
-    # Per-row argmax with smallest-community-id tie break: sort so the
-    # winner is the last element of each row group.
-    order2 = np.lexsort((-pc, score, pr))
-    pr2, pc2, score2 = pr[order2], pc[order2], score[order2]
-    last = np.empty(len(pr2), dtype=bool)
-    last[-1] = True
-    last[:-1] = pr2[1:] != pr2[:-1]
-    win_rows = pr2[last]
-    win_comm = pc2[last]
-    win_score = score2[last]
+    # Per-row argmax with smallest-community-id tie break: candidates
+    # are row-major, so the best score per row is a max-reduceat over
+    # the row segments, and the winner is the smallest community id
+    # among the candidates scoring exactly that best.
+    row_first = np.empty(len(pr), dtype=bool)
+    row_first[0] = True
+    np.not_equal(pr[1:], pr[:-1], out=row_first[1:])
+    row_starts = np.flatnonzero(row_first)
+    win_rows = pr[row_starts]
+    win_score = np.maximum.reduceat(score, row_starts)
+    row_best = np.repeat(win_score, np.diff(row_starts, append=len(pr)))
+    win_comm = np.minimum.reduceat(
+        np.where(score == row_best, pc, _INT64_MAX), row_starts
+    )
 
-    src_rows = pr[is_src]
-    src_score = np.empty(nloc, dtype=np.float64)
-    src_score[src_rows] = score[is_src]
+    # Each candidate row is an active row and holds exactly one entry
+    # for its own community, so these scores line up with win_rows.
+    src_score = score[is_src]
 
-    eps = GAIN_EPS * (1.0 + np.abs(src_score[win_rows]))
-    better = win_score > src_score[win_rows] + eps
+    eps = GAIN_EPS * (1.0 + np.abs(src_score))
+    better = win_score > src_score + eps
     cand_rows = win_rows[better]
     cand_comm = win_comm[better]
 
@@ -187,12 +207,23 @@ def array_lookup(ids: np.ndarray, values: np.ndarray) -> Callable:
 
 
 def sorted_lookup(ids: np.ndarray, values: np.ndarray) -> Callable:
-    """Lookup over sparse (sorted ids, values) pairs via searchsorted.
+    """Lookup over sparse (sorted unique ids, values) pairs.
+
+    Builds a dense position map over ``[ids[0], ids[-1]]`` once, so each
+    query is a gather instead of a binary search.  Out-of-range queries
+    clip to an end of the map and gaps point at ``ids[0]``; a hit is
+    confirmed by ``ids[pos] == query``, so every miss is caught.  The
+    map costs 8 bytes per id in the span; community ids are vertex ids,
+    so the span is at most the global vertex count.
 
     Raises ``KeyError`` on a miss — in the distributed algorithm a miss
     means a community's owner was never asked for its totals, which is a
     protocol bug worth failing loudly on.
     """
+    if len(ids):
+        lo = int(ids[0])
+        pos = np.zeros(int(ids[-1]) - lo + 1, dtype=np.int64)
+        pos[ids - lo] = np.arange(len(ids))
 
     def look(query: np.ndarray) -> np.ndarray:
         query = np.asarray(query)
@@ -203,13 +234,13 @@ def sorted_lookup(ids: np.ndarray, values: np.ndarray) -> Callable:
                     f"{np.unique(query)[:5].tolist()} (empty table)"
                 )
             return np.empty(0, dtype=values.dtype)
-        pos = np.searchsorted(ids, query)
-        bad = (pos >= len(ids)) | (ids[np.minimum(pos, len(ids) - 1)] != query)
+        at = pos.take(query.astype(np.int64, copy=False) - lo, mode="clip")
+        bad = ids[at] != query
         if np.any(bad):
-            missing = np.unique(np.asarray(query)[bad])[:5]
+            missing = np.unique(query[bad])[:5]
             raise KeyError(
                 f"community totals missing for ids {missing.tolist()}"
             )
-        return values[pos]
+        return values[at]
 
     return look

@@ -7,6 +7,8 @@ from repro.core import move_gain, propose_moves, sorted_lookup
 from repro.core.sweep import array_lookup
 from repro.graph import CSRGraph, EdgeList
 
+from ._reference_kernels import propose_moves_lexsort
+
 
 def dense_sweep(g: CSRGraph, comm: np.ndarray, active=None):
     """Helper: run propose_moves with dense (shared-memory) lookups."""
@@ -114,6 +116,24 @@ class TestProposeMoves:
         res = dense_sweep(g, comm)
         assert res.num_moves == 0
 
+    def test_key_space_overflow_raises(self):
+        # The fused (row, community) key must fit in int64.
+        g = EdgeList.from_arrays(2, [0], [1]).to_csr()
+        comm = np.array([0, 2**62], dtype=np.int64)
+        look = sorted_lookup(np.array([0]), np.array([1.0]))
+        with pytest.raises(OverflowError, match="exceeds int64"):
+            propose_moves(
+                index=g.index,
+                target_comm=comm[g.edges],
+                weights=g.weights,
+                self_mask=np.zeros(g.nnz, dtype=bool),
+                degrees=g.degrees(),
+                cur_comm=comm,
+                total_weight=g.total_weight,
+                tot_lookup=look,
+                size_lookup=look,
+            )
+
     def test_self_loop_only_vertex_stays(self):
         g = CSRGraph.from_edges(2, [0, 0], [0, 1], [5.0, 1.0])
         comm = np.arange(2, dtype=np.int64)
@@ -141,6 +161,51 @@ class TestLookups:
         with pytest.raises(KeyError):
             look(np.array([99]))
 
+    def test_sorted_lookup_miss_below_start(self):
+        look = sorted_lookup(np.array([2, 5]), np.array([1.0, 2.0]))
+        with pytest.raises(KeyError, match=r"\[0, 1\]"):
+            look(np.array([2, 1, 0, 5]))
+
+    def test_sorted_lookup_negative_query_misses(self):
+        # A dense position map must not wrap negative ids around through
+        # numpy's negative indexing.
+        look = sorted_lookup(np.array([0, 1, 2]), np.array([1.0, 2.0, 3.0]))
+        for q in (-1, -3, -4):
+            with pytest.raises(KeyError, match=str(q)):
+                look(np.array([0, q]))
+
+    def test_sorted_lookup_gap_misses(self):
+        look = sorted_lookup(
+            np.array([10, 11, 40, 1000]), np.array([1.0, 2.0, 3.0, 4.0])
+        )
+        np.testing.assert_array_equal(
+            look(np.array([1000, 10, 40, 11])), [4.0, 1.0, 3.0, 2.0]
+        )
+        for q in (12, 39, 41, 999):
+            with pytest.raises(KeyError, match=str(q)):
+                look(np.array([10, q]))
+
+    def test_sorted_lookup_int32_queries(self):
+        look = sorted_lookup(
+            np.array([3, 7, 2**20 + 5], dtype=np.int64),
+            np.array([30, 70, 90], dtype=np.int64),
+        )
+        out = look(np.array([7, 3, 7], dtype=np.int32))
+        np.testing.assert_array_equal(out, [70, 30, 70])
+        assert out.dtype == np.int64
+        with pytest.raises(KeyError):
+            look(np.array([4], dtype=np.int32))
+        with pytest.raises(KeyError):
+            look(np.array([-(2**31)], dtype=np.int32))
+
+    def test_sorted_lookup_single_id(self):
+        look = sorted_lookup(np.array([42]), np.array([4.2]))
+        np.testing.assert_array_equal(look(np.array([42, 42])), [4.2, 4.2])
+        assert len(look(np.empty(0, np.int64))) == 0
+        for q in (41, 43, 0, -42):
+            with pytest.raises(KeyError):
+                look(np.array([q]))
+
     def test_sorted_lookup_empty_table(self):
         look = sorted_lookup(np.empty(0, np.int64), np.empty(0))
         assert len(look(np.empty(0, np.int64))) == 0
@@ -150,3 +215,143 @@ class TestLookups:
     def test_array_lookup_dense(self):
         look = array_lookup(None, np.array([10.0, 20.0, 30.0]))
         np.testing.assert_allclose(look(np.array([2, 0])), [30.0, 10.0])
+
+
+def _random_sweep_case(rng: np.random.Generator, resolution: float) -> dict:
+    """Kernel inputs exercising ties, order-sensitive sums and odd rows.
+
+    Community labels come from a small pool (so rows see the same
+    community many times) mapped to sparse, possibly huge, non-zero-based
+    ids.  Weights are either small integers (many exact score ties) or
+    0.1/0.2/0.3 (sums that depend on the addition order).
+    """
+    nloc = int(rng.integers(1, 40))
+    pool_size = int(rng.integers(1, 12))
+    base = int(rng.choice([0, 1, 7, 10**9, 2**40]))
+    stride = int(rng.choice([1, 2, 3, 1000]))
+    labels = base + stride * np.sort(
+        rng.choice(4 * pool_size + 4, size=pool_size, replace=False)
+    ).astype(np.int64)
+
+    counts = rng.integers(0, 8, nloc)
+    counts[rng.random(nloc) < 0.15] = 0  # empty rows
+    index = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    nnz = int(index[-1])
+    target = labels[rng.integers(0, pool_size, nnz)]
+    if rng.random() < 0.5:
+        weights = rng.choice([1.0, 2.0], nnz)
+    else:
+        weights = rng.choice([0.1, 0.2, 0.3], nnz)
+    rows = np.repeat(np.arange(nloc), counts)
+    self_mask = rng.random(nnz) < 0.1
+    loop_only = rng.random(nloc) < 0.1  # self-loop-only rows
+    self_mask |= loop_only[rows]
+
+    cur = labels[rng.integers(0, pool_size, nloc)]
+    degrees = np.zeros(nloc)
+    np.add.at(degrees, rows, weights)
+    # Rows with no entries still carry some degree now and then.
+    degrees += np.where(rng.random(nloc) < 0.2, rng.choice([1.0, 2.0]), 0.0)
+
+    # Totals: the local members' degrees, plus remote mass for some
+    # communities (so singleton detection sees both cases).
+    slot = np.searchsorted(labels, cur)
+    tot = np.zeros(pool_size)
+    np.add.at(tot, slot, degrees)
+    size = np.bincount(slot, minlength=pool_size)
+    remote = rng.random(pool_size) < 0.3
+    tot[remote] += rng.choice([1.0, 2.0, 4.0], int(remote.sum()))
+    size[remote] += 1
+    size[size == 0] = 1
+    total_weight = float(
+        rng.choice([degrees.sum() + tot.sum(), 64.0, 128.0])
+    )
+    active = None if rng.random() < 0.3 else rng.random(nloc) < 0.7
+    return dict(
+        index=index,
+        target_comm=target,
+        weights=weights,
+        self_mask=self_mask,
+        degrees=degrees,
+        cur_comm=cur,
+        total_weight=total_weight,
+        tot_lookup=sorted_lookup(labels, tot),
+        size_lookup=sorted_lookup(labels, size),
+        active=active,
+        resolution=resolution,
+    )
+
+
+class TestLexsortOracle:
+    """The sort-free kernel must reproduce the lexsort kernel bit for bit."""
+
+    @pytest.mark.parametrize("resolution", [0.5, 1.0, 2.0])
+    def test_random_cases_match(self, resolution):
+        rng = np.random.default_rng(int(resolution * 1000))
+        for case in range(80):
+            kw = _random_sweep_case(rng, resolution)
+            want = propose_moves_lexsort(**kw)
+            got = propose_moves(**kw)
+            msg = f"case {case} (resolution {resolution})"
+            np.testing.assert_array_equal(got.proposal, want.proposal, msg)
+            np.testing.assert_array_equal(got.moved, want.moved, msg)
+            assert got.pairs_evaluated == want.pairs_evaluated, msg
+
+    def test_exact_tie_takes_smallest_id(self):
+        # Vertex 0 sees communities 30 and 20 with identical weight and
+        # totals; both beat staying in 50, the smaller id must win.
+        kw = dict(
+            index=np.array([0, 2, 3, 4, 5]),
+            target_comm=np.array([30, 20, 50, 30, 20]),
+            weights=np.array([1.0, 1.0, 1.0, 1.0, 1.0]),
+            self_mask=np.zeros(5, dtype=bool),
+            degrees=np.array([2.0, 1.0, 1.0, 1.0]),
+            cur_comm=np.array([50, 60, 30, 20]),
+            total_weight=64.0,
+            tot_lookup=sorted_lookup(
+                np.array([20, 30, 50, 60]), np.array([4.0, 4.0, 2.0, 1.0])
+            ),
+            size_lookup=sorted_lookup(
+                np.array([20, 30, 50, 60]), np.array([2, 2, 1, 1])
+            ),
+        )
+        got = propose_moves(**kw)
+        want = propose_moves_lexsort(**kw)
+        assert got.proposal[0] == 20
+        np.testing.assert_array_equal(got.proposal, want.proposal)
+
+    def test_order_sensitive_sums_match(self):
+        # Each row sees one community through a run of 0.1/0.2/0.3
+        # entries and a rival through a single entry equal to that run's
+        # sum in CSR order.  Equal totals make the two scores tie exactly
+        # only when d_{u,c} is summed in CSR order; any other order can
+        # shift the sum by an ulp and flip the winner.
+        rng = np.random.default_rng(5)
+        index, target, weights = [0], [], []
+        nrows = 24
+        for r in range(nrows):
+            run = rng.choice([0.1, 0.2, 0.3], 12).tolist()
+            total = float(np.add.reduceat(np.array(run), [0])[0])
+            seq_comm, single_comm = (9, 7) if r % 2 else (7, 9)
+            at = int(rng.integers(0, len(run) + 1))
+            target += [seq_comm] * at + [single_comm]
+            target += [seq_comm] * (len(run) - at)
+            weights += run[:at] + [total] + run[at:]
+            index.append(len(target))
+        ids = np.array([0, 7, 9])
+        kw = dict(
+            index=np.array(index),
+            target_comm=np.array(target),
+            weights=np.array(weights),
+            self_mask=np.zeros(len(target), dtype=bool),
+            degrees=np.full(nrows, 2.5),
+            cur_comm=np.zeros(nrows, dtype=np.int64),
+            total_weight=1e6,
+            tot_lookup=sorted_lookup(ids, np.array([1e5, 50.0, 50.0])),
+            size_lookup=sorted_lookup(ids, np.array([nrows, 2, 2])),
+        )
+        got = propose_moves(**kw)
+        want = propose_moves_lexsort(**kw)
+        assert got.moved.all()
+        np.testing.assert_array_equal(got.proposal, np.full(nrows, 7))
+        np.testing.assert_array_equal(got.proposal, want.proposal)
