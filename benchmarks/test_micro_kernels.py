@@ -5,7 +5,10 @@ these track the real wall-clock cost of the library's inner kernels so
 performance regressions of the simulator itself are visible:
 
 * the vectorised move-selection sweep, from singletons and mid-phase,
-  against the lexsort reference kernel as its "before";
+  against the lexsort reference kernel as its "before": through a
+  one-shot sweep plan built inside the timed call, and mid-phase also
+  through a phase-scoped plan built outside it (one round's gather plus
+  the kernel, as the distributed sweep pays it);
 * the vectorised greedy coloring and vertex-following seeds (and their
   reference per-vertex scans, kept as before/after comparisons);
 * serial graph coarsening;
@@ -25,13 +28,14 @@ import pytest
 from repro.core import coarsen_csr, pack_info
 from repro.core.commcache import CommunityCache
 from repro.core.grappolo import greedy_coloring, vertex_following_seed
-from repro.core.sweep import propose_moves, sorted_lookup
+from repro.core.sweep import SweepPlan, propose_moves, sorted_lookup
 from repro.generators import generate_lfr
 from repro.graph import CSRGraph, DistGraph, EdgeList
 from repro.runtime import FREE, run_spmd
 from tests._reference_kernels import (
     greedy_coloring_loop,
     propose_moves_lexsort,
+    propose_moves_one_shot,
     vertex_following_loop,
 )
 
@@ -64,29 +68,65 @@ def _sweep_inputs(g: CSRGraph, comm: np.ndarray) -> dict:
     )
 
 
+@lru_cache(maxsize=1)
+def _mid_phase() -> tuple[CSRGraph, np.ndarray]:
+    """LFR n=20000, three sweeps into the first phase."""
+    g = generate_lfr(20000, seed=3).edges.to_csr()
+    comm = np.arange(g.num_vertices, dtype=np.int64)
+    for _ in range(3):
+        comm = propose_moves_one_shot(**_sweep_inputs(g, comm)).proposal
+    return g, comm
+
+
 @lru_cache(maxsize=2)
 def _sweep_case(case: str) -> dict:
     if case == "singletons":
         g = _graph().to_csr()
         return _sweep_inputs(g, np.arange(g.num_vertices, dtype=np.int64))
-    # "mid_phase": LFR n=20000, three sweeps into the first phase.
-    g = generate_lfr(20000, seed=3).edges.to_csr()
-    comm = np.arange(g.num_vertices, dtype=np.int64)
-    for _ in range(3):
-        comm = propose_moves(**_sweep_inputs(g, comm)).proposal
-    return _sweep_inputs(g, comm)
+    return _sweep_inputs(*_mid_phase())
+
+
+def _phase_plan_round(inputs: dict):
+    """A round against a plan built once per phase: the returned call
+    is the candidate gather plus the kernel (the plan is built here,
+    outside the timed region)."""
+    g, comm = _mid_phase()
+    plan = SweepPlan.build(g.index, g.edges, g.weights, inputs["self_mask"])
+
+    def one_round():
+        return propose_moves(
+            plan.candidates(comm),
+            degrees=inputs["degrees"],
+            cur_comm=comm,
+            total_weight=inputs["total_weight"],
+            tot_lookup=inputs["tot_lookup"],
+            size_lookup=inputs["size_lookup"],
+        )
+
+    return one_round
 
 
 @pytest.mark.parametrize(
-    "kernel",
-    [propose_moves, propose_moves_lexsort],
-    ids=["sortfree", "lexsort_reference"],
+    "case, kernel",
+    [
+        ("singletons", "sortfree"),
+        ("singletons", "lexsort_reference"),
+        ("mid_phase", "sortfree"),
+        ("mid_phase", "lexsort_reference"),
+        ("mid_phase", "phase_plan"),
+    ],
 )
-@pytest.mark.parametrize("case", ["singletons", "mid_phase"])
 def test_kernel_propose_moves(benchmark, case, kernel):
     inputs = _sweep_case(case)
 
-    result = benchmark(kernel, **inputs)
+    if kernel == "phase_plan":
+        result = benchmark(_phase_plan_round(inputs))
+        want = propose_moves_lexsort(**inputs)
+        np.testing.assert_array_equal(result.proposal, want.proposal)
+    elif kernel == "sortfree":
+        result = benchmark(propose_moves_one_shot, **inputs)
+    else:
+        result = benchmark(propose_moves_lexsort, **inputs)
     assert result.num_moves > 0
 
 

@@ -8,7 +8,7 @@ result with the modelled execution-time breakdown.
 Run:  python examples/quickstart.py
 """
 
-from repro import LouvainConfig, Variant, make_graph, run_louvain
+from repro import DetectionRequest, LouvainConfig, Variant, detect, make_graph
 
 # A scaled-down synthetic graph with the structure class of the paper's
 # 1.8B-edge soc-friendster input (see repro.generators.registry).
@@ -18,7 +18,7 @@ print(f"input: {graph}")
 # The paper's best-performing configuration for this input: ETC(0.25)
 # (early termination + the global inactive-count exit, Table IV).
 config = LouvainConfig(variant=Variant.ETC, alpha=0.25)
-result = run_louvain(graph, nranks=8, config=config)
+result = detect(DetectionRequest(graph=graph, nranks=8, config=config)).result
 
 print(f"result: {result.summary()}")
 print(f"communities found: {result.num_communities}")

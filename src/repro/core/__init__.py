@@ -47,7 +47,7 @@ from .resultio import (
     write_communities_text,
 )
 from .sequential import louvain, louvain_phase
-from .sweep import SweepResult, propose_moves, sorted_lookup
+from .sweep import SweepPlan, SweepResult, propose_moves, sorted_lookup
 from .validate import (
     AuditReport,
     audit_community_info,
@@ -66,6 +66,7 @@ __all__ = [
     "PAPER_VARIANTS",
     "PhaseStats",
     "RESULT_FORMAT_VERSION",
+    "SweepPlan",
     "SweepResult",
     "ThresholdCycler",
     "Variant",

@@ -52,7 +52,7 @@ from .config import LouvainConfig
 from .heuristics import EarlyTermination, ThresholdCycler, make_rank_rng
 from .refine import refine_communities
 from .result import IterationStats, LouvainResult, PhaseStats, normalize_assignment
-from .sweep import propose_moves, sorted_lookup
+from .sweep import SweepPlan, propose_moves, sorted_lookup
 
 
 @dataclass
@@ -116,10 +116,13 @@ class _GhostChannel:
         return self._send_cat, self._send_rank
 
     def send_local(self) -> np.ndarray:
-        """Local slots of the send-plan vertices (cached ``to_local``)."""
+        """Local slots of the send-plan vertices, flattened like
+        :meth:`send_pairs` (from the plan's per-peer ``send_slots``)."""
         if self._send_loc is None:
-            send_cat, _ = self.send_pairs()
-            self._send_loc = np.asarray(self.dg.to_local(send_cat))
+            slots = [s for _, s in sorted(self.plan.send_slots.items())]
+            self._send_loc = (
+                np.concatenate(slots) if slots else np.empty(0, np.int64)
+            )
         return self._send_loc
 
     def refresh(self, comm: Communicator, local_comm: np.ndarray) -> np.ndarray:
@@ -192,9 +195,7 @@ def _sweep_round(
     comm: Communicator,
     dg: DistGraph,
     ghosts: _GhostChannel,
-    ctargets: np.ndarray,
-    rows: np.ndarray,
-    self_mask: np.ndarray,
+    sweep_plan: SweepPlan,
     k: np.ndarray,
     local_comm: np.ndarray,
     tot_owned: np.ndarray,
@@ -217,36 +218,21 @@ def _sweep_round(
     proportional to the number of *changed* communities.  Results are
     bit-identical to the pull protocol either way.
     """
-    w = dg.total_weight
-
     # (i) latest ghost vertex community assignments (lines 4-5).
     ghost_comm = ghosts.refresh(comm, local_comm)
-    target_comm = (
-        np.concatenate([local_comm, ghost_comm])[ctargets]
-        if len(ctargets)
-        else np.empty(0, dtype=np.int64)
-    )
+    slot_comm = np.concatenate([local_comm, ghost_comm])
+    cand = sweep_plan.candidates(slot_comm, active)
 
     # (ii) fetch a_c and |c| for the communities this round evaluates:
-    # neighbours of active vertices + their own.
-    if len(target_comm):
-        needed = _unique_ids(
-            np.concatenate([target_comm[active[rows]], local_comm[active]])
-        )
-    else:
-        needed = _unique_ids(local_comm[active])
+    # neighbours of active vertices + their own (the candidates).
+    needed = _unique_ids(cand.comm)
     if cache is not None:
-        prefetch = None
-        if cache.cold:
-            # Cold start: pull every community this rank's vertices
-            # could reference (all neighbour communities and own ones,
-            # active or not) so later rounds never miss — new ids can
-            # then only arrive through hinted ghost moves.
-            prefetch = (
-                _unique_ids(np.concatenate([target_comm, local_comm]))
-                if len(target_comm)
-                else _unique_ids(local_comm)
-            )
+        # Cold start: pull every community this rank's vertices could
+        # reference (every owned and ghost vertex's, active or not;
+        # each ghost is some entry's target) so later rounds never
+        # miss — new ids can then only arrive through hinted ghost
+        # moves.
+        prefetch = _unique_ids(slot_comm) if cache.cold else None
         needed_tot, needed_size = cache.fetch(
             comm, needed, tot_owned, size_owned, prefetch=prefetch
         )
@@ -257,20 +243,17 @@ def _sweep_round(
 
     # (iii) local move computation (lines 6-9).
     res = propose_moves(
-        index=dg.index,
-        target_comm=target_comm,
-        weights=dg.weights,
-        self_mask=self_mask,
+        cand,
         degrees=k,
         cur_comm=local_comm,
-        total_weight=w,
+        total_weight=dg.total_weight,
         tot_lookup=sorted_lookup(needed, needed_tot),
         size_lookup=sorted_lookup(needed, needed_size),
-        active=active,
         resolution=config.resolution,
     )
-    scanned = int(active[rows].sum()) if len(rows) else 0
-    comm.charge_compute(res.pairs_evaluated + scanned + dg.num_local)
+    comm.charge_compute(
+        res.pairs_evaluated + sweep_plan.scanned(active) + dg.num_local
+    )
 
     # (iv) send community updates to owner processes (lines 10-11).
     moved = res.moved
@@ -337,7 +320,9 @@ def louvain_phase_distributed(
     n_global = dg.num_global_vertices
     k = dg.local_degrees()
     rows = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(dg.index))
-    self_mask = dg.edges == dg.from_local(rows)
+    sweep_plan = SweepPlan.build(
+        dg.index, ctargets, dg.weights, dg.edges == dg.from_local(rows)
+    )
 
     # Each vertex starts in its own community; owners of the community id
     # set coincide with owners of the vertex set, so C_info is dense over
@@ -444,9 +429,8 @@ def louvain_phase_distributed(
         # rank-local (the mask only gates local move proposals).
         for round_active in rounds:  # spmdlint: ignore[SPMD001, SPMD004]
             local_comm, round_moved, ghost_comm, n = _sweep_round(
-                comm, dg, ghosts, ctargets, rows, self_mask, k,
-                local_comm, tot_owned, size_owned, round_active, config,
-                cache=cache,
+                comm, dg, ghosts, sweep_plan, k, local_comm, tot_owned,
+                size_owned, round_active, config, cache=cache,
             )
             moved |= round_moved
             moves += n

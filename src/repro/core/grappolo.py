@@ -30,7 +30,7 @@ from .coarsen import coarsen_csr
 from .config import LouvainConfig
 from .heuristics import EarlyTermination, ThresholdCycler, make_rank_rng
 from .result import IterationStats, LouvainResult, PhaseStats, normalize_assignment
-from .sweep import propose_moves
+from .sweep import SweepPlan, propose_moves
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -252,7 +252,9 @@ def _phase(
     w = g.total_weight
     k = g.degrees()
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.index))
-    self_mask = g.edges == rows
+    # Shared memory: every target is local, so the slots are the vertex
+    # ids themselves and ``comm`` is the slot-community array.
+    sweep_plan = SweepPlan.build(g.index, g.edges, g.weights, g.edges == rows)
 
     if seed_assignment is not None:
         # Warm start: rename each community to its minimum member vertex
@@ -300,21 +302,17 @@ def _phase(
             np.add.at(tot, comm, k)
             size = np.bincount(comm, minlength=n)
             res = propose_moves(
-                index=g.index,
-                target_comm=comm[g.edges],
-                weights=g.weights,
-                self_mask=self_mask,
+                sweep_plan.candidates(comm, cls_active),
                 degrees=k,
                 cur_comm=comm,
                 total_weight=w,
                 tot_lookup=lambda ids, t=tot: t[ids],
                 size_lookup=lambda ids, s=size: s[ids],
-                active=cls_active,
                 resolution=config.resolution,
             )
             comm = res.proposal
             moved |= res.moved
-            timer.charge(res.pairs_evaluated + int(cls_active[rows].sum()))
+            timer.charge(res.pairs_evaluated + sweep_plan.scanned(cls_active))
 
         q = _modularity_dense(g, comm, k, w, rows, config.resolution)
         timer.charge(g.nnz)  # modularity pass

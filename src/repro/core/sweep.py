@@ -4,21 +4,34 @@ The paper's implementation is MPI+OpenMP: within a rank, vertices are
 processed *in parallel* by OpenMP threads, so move decisions within one
 iteration are made against a snapshot of the community state from the
 iteration start (the same semantics as Grappolo [22]).  This module
-implements that snapshot sweep as numpy segment operations:
+implements that snapshot sweep as numpy segment operations.
 
-1. group every (vertex, neighbouring community) pair and sum the edge
+The local CSR graph and its ghost layout are fixed for a whole phase
+(they change only at reconstruction, §IV-A(b)), so the candidate layout
+is built once per phase as a :class:`SweepPlan`: every non-self CSR
+entry as a (row, target slot, weight) triple, followed by one
+zero-weight entry per row whose slot is the row's own vertex.  Slots
+index ``concat(local_comm, ghost_comm)``, so each round gathers its
+candidate communities with one ``take`` (masked by the active rows
+under ET or colouring) and the synthetic own entries guarantee the
+current community is a candidate of every active vertex.
+
+The kernel (:func:`propose_moves`) then, per round:
+
+1. groups every (vertex, neighbouring community) pair and sums the edge
    weights into ``d_{u,c}``: one stable argsort of the fused int64 key
    ``row * span + (comm - lo)`` orders the pairs row-major, then
-   ``np.add.reduceat`` sums each group in CSR order;
-2. score each candidate ``score(c) = d_{u,c} - k_u * tot'(c) / W`` where
+   ``np.add.reduceat`` sums each group in CSR order; each group's
+   (row, community) is gathered at the position of its first member;
+2. scores each candidate ``score(c) = d_{u,c} - k_u * tot'(c) / W`` where
    ``tot'`` excludes ``u``'s own degree from its current community —
    maximising this score is equivalent to maximising the modularity gain
    of Algorithm 1 line 6;
-3. per vertex, pick the best-scoring community with a ``maximum.reduceat``
+3. per vertex, picks the best-scoring community with a ``maximum.reduceat``
    over the row segments, ties broken toward the smallest community id
    by a ``minimum.reduceat`` over the candidates scoring exactly that
    best (which also gives deterministic output);
-4. suppress the classic singleton-singleton swap oscillation: when both
+4. suppresses the classic singleton-singleton swap oscillation: when both
    the vertex's community and the target are singletons, only the move
    toward the smaller id is allowed (the "minimum labelling" rule of
    Lu et al. [22]).
@@ -32,7 +45,7 @@ runs in the serial, shared-memory and distributed paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,32 +72,101 @@ class SweepResult:
         return int(self.moved.sum())
 
 
+class Candidates(NamedTuple):
+    """One round's candidate (row, community, weight) triples: the
+    active rows' non-self entries in CSR order, then one zero-weight
+    own-community entry per active row, in row order."""
+
+    rows: np.ndarray
+    comm: np.ndarray
+    weights: np.ndarray
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """Phase-invariant candidate layout of the snapshot sweep.
+
+    Built once per phase (the local graph and its ghost layout do not
+    change between reconstructions); each round only gathers community
+    ids through it.
+    """
+
+    #: Row of every candidate: the non-self CSR entries' rows, then
+    #: ``0..nloc``.
+    rows: np.ndarray
+    #: Slot of every candidate into ``concat(local_comm, ghost_comm)``:
+    #: the non-self entries' targets, then ``0..nloc`` (slot ``i`` holds
+    #: vertex ``i``'s own community).
+    slots: np.ndarray
+    #: Candidate weights: the non-self entries' weights, then ``nloc``
+    #: zeros.
+    weights: np.ndarray
+    #: Stored CSR entries per row, self loops included (the scan charge).
+    row_counts: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        index: np.ndarray,
+        targets: np.ndarray,
+        weights: np.ndarray,
+        self_mask: np.ndarray,
+    ) -> "SweepPlan":
+        """Plan for the CSR rows ``index`` whose entries point at
+        ``targets`` (slots into ``concat(local_comm, ghost_comm)``);
+        ``self_mask`` marks the self loops, which never become
+        candidates."""
+        nloc = len(index) - 1
+        counts = np.diff(index)
+        rows = np.repeat(np.arange(nloc, dtype=np.int64), counts)
+        keep = ~self_mask
+        own = np.arange(nloc, dtype=np.int64)
+        return cls(
+            rows=np.concatenate([rows[keep], own]),
+            slots=np.concatenate([targets[keep], own]),
+            weights=np.concatenate([weights[keep], np.zeros(nloc)]),
+            row_counts=counts,
+        )
+
+    def candidates(
+        self, slot_comm: np.ndarray, active: np.ndarray | None = None
+    ) -> Candidates:
+        """The round's candidates under ``slot_comm`` (community per
+        slot), restricted to the ``active`` rows (default all)."""
+        if active is None or active.all():
+            return Candidates(
+                self.rows, slot_comm.take(self.slots), self.weights
+            )
+        keep = active.take(self.rows)
+        return Candidates(
+            self.rows[keep],
+            slot_comm.take(self.slots[keep]),
+            self.weights[keep],
+        )
+
+    def scanned(self, active: np.ndarray) -> int:
+        """Stored entries of the ``active`` rows."""
+        return int(self.row_counts[active].sum())
+
+
 def propose_moves(
-    index: np.ndarray,
-    target_comm: np.ndarray,
-    weights: np.ndarray,
-    self_mask: np.ndarray,
+    cand: Candidates,
     degrees: np.ndarray,
     cur_comm: np.ndarray,
     total_weight: float,
     tot_lookup: Callable[[np.ndarray], np.ndarray],
     size_lookup: Callable[[np.ndarray], np.ndarray],
-    active: np.ndarray | None = None,
     resolution: float = 1.0,
 ) -> SweepResult:
-    """Compute the best move for every (active) local vertex.
+    """Compute the best move for every active local vertex.
 
     Parameters
     ----------
-    index:
-        Local CSR row index, ``int64[nloc + 1]``.
-    target_comm:
-        Snapshot community id of every edge target, aligned with the CSR
-        entries (ghosts already resolved by the caller).
-    weights:
-        Edge weights aligned with the entries.
-    self_mask:
-        True for entries that are self loops (excluded from ``d_{u,c}``).
+    cand:
+        The round's candidates, from :meth:`SweepPlan.candidates`.  A
+        row is active iff it has candidates (each active row carries its
+        own-community entry); inactive vertices never move but still
+        appear as targets in their neighbours' candidate lists.
     degrees:
         Weighted degree ``k_u`` per local vertex.
     cur_comm:
@@ -93,38 +175,17 @@ def propose_moves(
         Global ``W`` (= 2m).
     tot_lookup / size_lookup:
         Vectorised maps from community ids to the snapshot ``a_c`` and
-        community size.  Must cover every id in ``target_comm`` and
-        ``cur_comm``.
-    active:
-        Bool mask of vertices participating this iteration (ET); default
-        all.  Inactive vertices never move but still appear as targets in
-        their neighbours' candidate lists.
+        community size.  Must cover every id in ``cand.comm``.
     resolution:
         Gamma of generalized modularity: candidate scores become
         ``d_{u,c} - gamma * k_u * tot'(c) / W``; 1.0 is classic Q.
     """
-    nloc = len(index) - 1
-    if active is None:
-        active = np.ones(nloc, dtype=bool)
+    nloc = len(cur_comm)
     proposal = cur_comm.copy()
     moved = np.zeros(nloc, dtype=bool)
-    if nloc == 0 or total_weight <= 0.0:
+    c_rows, c_comm, c_w = cand
+    if nloc == 0 or total_weight <= 0.0 or len(c_rows) == 0:
         return SweepResult(proposal=proposal, moved=moved, pairs_evaluated=0)
-
-    rows = np.repeat(np.arange(nloc, dtype=np.int64), np.diff(index))
-    keep = active[rows] & ~self_mask
-    c_rows = rows[keep]
-    c_comm = target_comm[keep]
-    c_w = weights[keep]
-
-    # Guarantee the current community is a candidate for every active
-    # vertex (zero-weight synthetic entry), so src_score always exists.
-    act_ids = np.flatnonzero(active)
-    if len(act_ids) == 0:
-        return SweepResult(proposal=proposal, moved=moved, pairs_evaluated=0)
-    c_rows = np.concatenate([c_rows, act_ids])
-    c_comm = np.concatenate([c_comm, cur_comm[act_ids]])
-    c_w = np.concatenate([c_w, np.zeros(len(act_ids))])
 
     # Group by (row, community) and sum weights -> d_{u,c}.  A stable
     # argsort of the fused key row*span + (comm - lo) is the same
@@ -138,14 +199,15 @@ def propose_moves(
         )
     key = c_rows * span + (c_comm - lo)
     order = np.argsort(key, kind="stable")
-    key = key[order]
+    key = key.take(order)
     first = np.empty(len(key), dtype=bool)
     first[0] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    d = np.add.reduceat(c_w[order], starts)
-    pr, pc = np.divmod(key[starts], span)
-    pc += lo
+    d = np.add.reduceat(c_w.take(order), starts)
+    at = order.take(starts)
+    pr = c_rows.take(at)
+    pc = c_comm.take(at)
 
     # Score candidates against the snapshot totals (minus own degree
     # when evaluating the current community).

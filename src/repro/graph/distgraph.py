@@ -57,15 +57,32 @@ class GhostPlan:
     ghost_ids:
         Sorted global ids of this rank's ghost vertices.
     recv_ids:
-        ``{owner_rank: global ids we receive from that rank}``; the
-        concatenation in rank order equals ``ghost_ids`` order.
+        ``{owner_rank: sorted global ids we receive from that rank}``.
+        Every ghost appears under exactly one owner.  Owners need not be
+        monotone in id (a ``repartition="community"`` layout is not), so
+        the rank-order concatenation is *not* in general the
+        ``ghost_ids`` order; values are placed through ``recv_slots``.
     send_ids:
         ``{dest_rank: our owned global ids that dest keeps as ghosts}``.
+    send_slots:
+        ``{dest_rank: local slots of send_ids[dest_rank]}`` (positions
+        in a per-owned-vertex value array), resolved once at build.
+    recv_slots:
+        ``{owner_rank: positions of recv_ids[owner_rank] in
+        ghost_ids}``, derived at construction.
     """
 
     ghost_ids: np.ndarray
     recv_ids: dict[int, np.ndarray]
     send_ids: dict[int, np.ndarray]
+    send_slots: dict[int, np.ndarray]
+    recv_slots: dict[int, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.recv_slots = {
+            r: np.searchsorted(self.ghost_ids, ids)
+            for r, ids in self.recv_ids.items()
+        }
 
     @property
     def num_ghosts(self) -> int:
@@ -265,7 +282,13 @@ class DistGraph:
             r: ids for r, ids in enumerate(got) if r != comm.rank and len(ids)
         }
         self._plan = GhostPlan(
-            ghost_ids=ghosts, recv_ids=recv_ids, send_ids=send_ids
+            ghost_ids=ghosts,
+            recv_ids=recv_ids,
+            send_ids=send_ids,
+            send_slots={
+                r: np.asarray(self.to_local(ids))
+                for r, ids in sorted(send_ids.items())
+            },
         )
         return self._plan
 
@@ -309,14 +332,14 @@ class DistGraph:
             )
         if use_neighbor_collectives:
             payload = {
-                r: local_values[self.to_local(ids)]
-                for r, ids in sorted(plan.send_ids.items())
+                r: local_values[slots]
+                for r, slots in sorted(plan.send_slots.items())
             }
             got = comm.neighbor_alltoall(payload, category=category)
         else:
             payload_list = [
-                local_values[self.to_local(plan.send_ids[r])]
-                if r in plan.send_ids
+                local_values[plan.send_slots[r]]
+                if r in plan.send_slots
                 else np.empty(0, local_values.dtype)
                 for r in range(comm.size)
             ]
@@ -334,7 +357,7 @@ class DistGraph:
                     f"{len(ids)} values, got "
                     f"{None if values is None else len(values)}"
                 )
-            out[np.searchsorted(plan.ghost_ids, ids)] = values
+            out[plan.recv_slots[r]] = values
         return out
 
     # ------------------------------------------------------------------

@@ -7,7 +7,8 @@ bit for bit, and ``benchmarks/test_micro_kernels.py`` times them as the
 
 * :func:`propose_moves_lexsort` — the sort-based snapshot sweep: two
   multi-key ``np.lexsort`` group-bys, (row, community) then per-row
-  argmax.  Same contract as :func:`repro.core.sweep.propose_moves`.
+  argmax.  :func:`propose_moves_one_shot` drives the library kernel
+  :func:`repro.core.sweep.propose_moves` with the same arguments.
 * :func:`greedy_coloring_loop` — per-vertex id-order greedy coloring
   (:func:`repro.core.grappolo.greedy_coloring`).
 * :func:`vertex_following_loop` — per-vertex leaf following
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.sweep import GAIN_EPS, SweepResult
+from repro.core.sweep import GAIN_EPS, SweepPlan, SweepResult, propose_moves
 from repro.graph import CSRGraph
 
 
@@ -110,6 +111,38 @@ def propose_moves_lexsort(
     moved[cand_rows] = True
     return SweepResult(
         proposal=proposal, moved=moved, pairs_evaluated=len(pr)
+    )
+
+
+def propose_moves_one_shot(
+    index: np.ndarray,
+    target_comm: np.ndarray,
+    weights: np.ndarray,
+    self_mask: np.ndarray,
+    degrees: np.ndarray,
+    cur_comm: np.ndarray,
+    total_weight: float,
+    tot_lookup: Callable[[np.ndarray], np.ndarray],
+    size_lookup: Callable[[np.ndarray], np.ndarray],
+    active: np.ndarray | None = None,
+    resolution: float = 1.0,
+) -> SweepResult:
+    """The library kernel through a one-shot :class:`SweepPlan` whose
+    slots index ``concat(cur_comm, target_comm)`` (argument-for-argument
+    the same as :func:`propose_moves_lexsort`)."""
+    nloc = len(index) - 1
+    plan = SweepPlan.build(
+        index, nloc + np.arange(len(target_comm)), weights, self_mask
+    )
+    cand = plan.candidates(np.concatenate([cur_comm, target_comm]), active)
+    return propose_moves(
+        cand,
+        degrees=degrees,
+        cur_comm=cur_comm,
+        total_weight=total_weight,
+        tot_lookup=tot_lookup,
+        size_lookup=size_lookup,
+        resolution=resolution,
     )
 
 

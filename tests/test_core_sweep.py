@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import move_gain, propose_moves, sorted_lookup
+from repro.core import SweepPlan, move_gain, propose_moves, sorted_lookup
+from repro.core.distlouvain import _unique_ids
 from repro.core.sweep import array_lookup
 from repro.graph import CSRGraph, EdgeList
 
-from ._reference_kernels import propose_moves_lexsort
+from ._reference_kernels import propose_moves_lexsort, propose_moves_one_shot
 
 
 def dense_sweep(g: CSRGraph, comm: np.ndarray, active=None):
@@ -18,17 +19,14 @@ def dense_sweep(g: CSRGraph, comm: np.ndarray, active=None):
     tot = np.zeros(n)
     np.add.at(tot, comm, k)
     size = np.bincount(comm, minlength=n)
+    plan = SweepPlan.build(g.index, g.edges, g.weights, g.edges == rows)
     return propose_moves(
-        index=g.index,
-        target_comm=comm[g.edges],
-        weights=g.weights,
-        self_mask=g.edges == rows,
+        plan.candidates(comm, active),
         degrees=k,
         cur_comm=comm,
         total_weight=g.total_weight,
         tot_lookup=lambda ids: tot[ids],
         size_lookup=lambda ids: size[ids],
-        active=active,
     )
 
 
@@ -122,7 +120,7 @@ class TestProposeMoves:
         comm = np.array([0, 2**62], dtype=np.int64)
         look = sorted_lookup(np.array([0]), np.array([1.0]))
         with pytest.raises(OverflowError, match="exceeds int64"):
-            propose_moves(
+            propose_moves_one_shot(
                 index=g.index,
                 target_comm=comm[g.edges],
                 weights=g.weights,
@@ -291,7 +289,7 @@ class TestLexsortOracle:
         for case in range(80):
             kw = _random_sweep_case(rng, resolution)
             want = propose_moves_lexsort(**kw)
-            got = propose_moves(**kw)
+            got = propose_moves_one_shot(**kw)
             msg = f"case {case} (resolution {resolution})"
             np.testing.assert_array_equal(got.proposal, want.proposal, msg)
             np.testing.assert_array_equal(got.moved, want.moved, msg)
@@ -315,7 +313,7 @@ class TestLexsortOracle:
                 np.array([20, 30, 50, 60]), np.array([2, 2, 1, 1])
             ),
         )
-        got = propose_moves(**kw)
+        got = propose_moves_one_shot(**kw)
         want = propose_moves_lexsort(**kw)
         assert got.proposal[0] == 20
         np.testing.assert_array_equal(got.proposal, want.proposal)
@@ -350,8 +348,168 @@ class TestLexsortOracle:
             tot_lookup=sorted_lookup(ids, np.array([1e5, 50.0, 50.0])),
             size_lookup=sorted_lookup(ids, np.array([nrows, 2, 2])),
         )
-        got = propose_moves(**kw)
+        got = propose_moves_one_shot(**kw)
         want = propose_moves_lexsort(**kw)
         assert got.moved.all()
         np.testing.assert_array_equal(got.proposal, np.full(nrows, 7))
         np.testing.assert_array_equal(got.proposal, want.proposal)
+
+
+def _active_masks(rng: np.random.Generator, nloc: int, own) -> list:
+    """The case's own mask plus all-True (the unmasked fast path),
+    all-False, a single active row and a random half."""
+    single = np.zeros(nloc, dtype=bool)
+    single[rng.integers(nloc)] = True
+    return [
+        own,
+        None,
+        np.ones(nloc, dtype=bool),
+        np.zeros(nloc, dtype=bool),
+        single,
+        rng.random(nloc) < 0.5,
+    ]
+
+
+def _phase_plan(kw: dict) -> tuple[SweepPlan, np.ndarray, np.ndarray]:
+    """A plan laid out as a phase builds it: targets are slots into
+    ``slot_comm = concat(cur_comm, ghost)``, one ghost slot per distinct
+    target id (shared by every entry pointing at it), and a self loop
+    points at its own row's slot.  Returns ``(plan, slot_comm,
+    targets)``; self loops never become candidates, so the kernel
+    result is the oracle's on ``kw`` unchanged."""
+    index, target = kw["index"], kw["target_comm"]
+    nloc = len(index) - 1
+    rows = np.repeat(np.arange(nloc), np.diff(index))
+    ghost = np.unique(target)
+    targets = np.where(
+        kw["self_mask"], rows, nloc + np.searchsorted(ghost, target)
+    )
+    plan = SweepPlan.build(index, targets, kw["weights"], kw["self_mask"])
+    return plan, np.concatenate([kw["cur_comm"], ghost]), targets
+
+
+def _plan_sweep(plan: SweepPlan, slot_comm: np.ndarray, kw: dict, active):
+    return propose_moves(
+        plan.candidates(slot_comm, active),
+        degrees=kw["degrees"],
+        cur_comm=kw["cur_comm"],
+        total_weight=kw["total_weight"],
+        tot_lookup=kw["tot_lookup"],
+        size_lookup=kw["size_lookup"],
+        resolution=kw["resolution"],
+    )
+
+
+def _assert_same_result(got, want, msg):
+    np.testing.assert_array_equal(got.proposal, want.proposal, msg)
+    np.testing.assert_array_equal(got.moved, want.moved, msg)
+    assert got.pairs_evaluated == want.pairs_evaluated, msg
+
+
+class TestSweepPlan:
+    """One plan per case, reused across rounds with different active
+    masks (as a phase reuses it), must reproduce the lexsort oracle."""
+
+    @pytest.mark.parametrize("resolution", [0.5, 1.0, 2.0])
+    def test_random_cases_under_active_masks(self, resolution):
+        # Same 240 cases as TestLexsortOracle (same generator seeds).
+        rng = np.random.default_rng(int(resolution * 1000))
+        for case in range(80):
+            kw = _random_sweep_case(rng, resolution)
+            plan, slot_comm, targets = _phase_plan(kw)
+            nloc = len(kw["index"]) - 1
+            rows = np.repeat(np.arange(nloc), np.diff(kw["index"]))
+            masks = _active_masks(
+                np.random.default_rng(case), nloc, kw["active"]
+            )
+            for m, active in enumerate(masks):
+                msg = f"case {case} mask {m} (resolution {resolution})"
+                want = propose_moves_lexsort(**{**kw, "active": active})
+                got = _plan_sweep(plan, slot_comm, kw, active)
+                _assert_same_result(got, want, msg)
+
+                act = np.ones(nloc, bool) if active is None else active
+                # _sweep_round's former expression, over the phase's
+                # per-entry target communities.
+                target_comm = slot_comm[targets]
+                old_needed = np.unique(
+                    np.concatenate(
+                        [target_comm[act[rows]], kw["cur_comm"][act]]
+                    )
+                )
+                cand = plan.candidates(slot_comm, active)
+                np.testing.assert_array_equal(
+                    _unique_ids(cand.comm), old_needed, msg
+                )
+                assert plan.scanned(act) == int(act[rows].sum()), msg
+
+    def test_layout(self):
+        # Row 0: entries to slots 3, 0 (self loop), 4; row 1: one entry
+        # to slot 0; row 2: only a self loop.
+        index = np.array([0, 3, 4, 5])
+        targets = np.array([3, 0, 4, 0, 2])
+        weights = np.array([1.0, 5.0, 2.0, 3.0, 7.0])
+        self_mask = np.array([False, True, False, False, True])
+        plan = SweepPlan.build(index, targets, weights, self_mask)
+        np.testing.assert_array_equal(plan.rows, [0, 0, 1, 0, 1, 2])
+        np.testing.assert_array_equal(plan.slots, [3, 4, 0, 0, 1, 2])
+        np.testing.assert_array_equal(
+            plan.weights, [1.0, 2.0, 3.0, 0.0, 0.0, 0.0]
+        )
+        np.testing.assert_array_equal(plan.row_counts, [3, 1, 1])
+        assert plan.scanned(np.ones(3, dtype=bool)) == 5
+        assert plan.scanned(np.array([False, True, True])) == 2
+
+    @pytest.mark.parametrize("nloc", [0, 1, 5])
+    def test_empty_graphs(self, nloc):
+        kw = dict(
+            index=np.zeros(nloc + 1, dtype=np.int64),
+            target_comm=np.empty(0, dtype=np.int64),
+            weights=np.empty(0),
+            self_mask=np.empty(0, dtype=bool),
+            degrees=np.ones(nloc),
+            cur_comm=np.arange(nloc, dtype=np.int64),
+            total_weight=8.0,
+            tot_lookup=sorted_lookup(np.arange(nloc), np.ones(nloc)),
+            size_lookup=sorted_lookup(np.arange(nloc), np.ones(nloc, int)),
+            resolution=1.0,
+        )
+        plan, slot_comm, targets = _phase_plan(kw)
+        assert plan.scanned(np.ones(nloc, dtype=bool)) == 0
+        for active in (None, np.ones(nloc, bool), np.zeros(nloc, bool)):
+            want = propose_moves_lexsort(**{**kw, "active": active})
+            got = _plan_sweep(plan, slot_comm, kw, active)
+            _assert_same_result(got, want, f"nloc {nloc}")
+            assert got.num_moves == 0
+            assert got.pairs_evaluated == (
+                0 if active is not None and not active.any() else nloc
+            )
+
+    def test_self_loop_only_rows(self):
+        # Every row holds only self loops: each active row evaluates its
+        # own community alone and never moves.
+        index = np.array([0, 2, 3, 3, 4])
+        kw = dict(
+            index=index,
+            target_comm=np.array([10, 10, 11, 13]),
+            weights=np.array([2.0, 1.0, 4.0, 3.0]),
+            self_mask=np.ones(4, dtype=bool),
+            degrees=np.array([3.0, 4.0, 0.0, 3.0]),
+            cur_comm=np.array([10, 11, 12, 13]),
+            total_weight=10.0,
+            tot_lookup=sorted_lookup(
+                np.array([10, 11, 12, 13]), np.array([3.0, 4.0, 0.0, 3.0])
+            ),
+            size_lookup=sorted_lookup(
+                np.array([10, 11, 12, 13]), np.ones(4, dtype=np.int64)
+            ),
+            resolution=1.0,
+        )
+        plan, slot_comm, targets = _phase_plan(kw)
+        np.testing.assert_array_equal(plan.rows, [0, 1, 2, 3])
+        for active in (None, np.array([True, False, True, False])):
+            want = propose_moves_lexsort(**{**kw, "active": active})
+            got = _plan_sweep(plan, slot_comm, kw, active)
+            _assert_same_result(got, want, "self-loop-only")
+            assert got.num_moves == 0
+        assert plan.scanned(np.array([True, False, True, False])) == 2

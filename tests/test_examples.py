@@ -13,9 +13,9 @@ import pytest
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
-def run_example(name: str, timeout: float = 240.0):
+def run_example(name: str, timeout: float = 240.0, python_flags=()):
     return subprocess.run(
-        [sys.executable, str(EXAMPLES / name)],
+        [sys.executable, *python_flags, str(EXAMPLES / name)],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -23,7 +23,10 @@ def run_example(name: str, timeout: float = 240.0):
 
 
 def test_quickstart():
-    proc = run_example("quickstart.py")
+    # The quickstart shows the current API: any deprecated call fails it.
+    proc = run_example(
+        "quickstart.py", python_flags=("-W", "error::DeprecationWarning")
+    )
     assert proc.returncode == 0, proc.stderr
     assert "communities found:" in proc.stdout
     assert "trace over 8 rank(s)" in proc.stdout

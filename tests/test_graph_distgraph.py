@@ -147,6 +147,7 @@ class TestGhostExchange:
                 ghost_ids=plan.ghost_ids,
                 recv_ids=dict(reversed(list(plan.recv_ids.items()))),
                 send_ids=dict(reversed(list(plan.send_ids.items()))),
+                send_slots=dict(reversed(list(plan.send_slots.items()))),
             )
             local = (np.arange(dg.vbegin, dg.vend) * 7 + 1).astype(np.int64)
             a = dg.exchange_ghost_values(
@@ -161,6 +162,53 @@ class TestGhostExchange:
             )
 
         assert all(spmd(4, prog, verify_schedule=True).values)
+
+    @pytest.mark.parametrize("use_neighbor", [False, True])
+    def test_general_partition_places_by_slot(self, use_neighbor):
+        # A community-placed coarse graph has owners that are not
+        # monotone in id: the rank-order concatenation of recv_ids is
+        # not the ghost_ids order, so values must land through the
+        # plan's cached recv_slots.
+        from repro.core.coarsen import rebuild_distributed
+
+        g = planted_blocks_graph(blocks=4, per_block=10, seed=3)
+
+        def prog(comm):
+            dg = DistGraph.distribute(comm, g)
+            plan = dg.build_ghost_plan(comm)
+            ids = dg.local_vertex_ids()
+            pairs = ids - ids % 2  # communities {2i, 2i+1}
+            ghost_pairs = dg.exchange_ghost_values(comm, plan, pairs)
+            cdg, _ = rebuild_distributed(
+                comm, dg, pairs, ghost_pairs, repartition="community"
+            )
+            cplan = cdg.build_ghost_plan(comm)
+            owned = cdg.local_vertex_ids()
+            ghosts = cdg.exchange_ghost_values(
+                comm, cplan, owned * 7 + 1,
+                use_neighbor_collectives=use_neighbor,
+            )
+            concat = np.concatenate(
+                [ids for _, ids in sorted(cplan.recv_ids.items())]
+            )
+            slots_ok = all(
+                np.array_equal(cplan.ghost_ids[cplan.recv_slots[r]], ids)
+                for r, ids in sorted(cplan.recv_ids.items())
+            ) and all(
+                np.array_equal(owned[cplan.send_slots[r]], ids)
+                for r, ids in sorted(cplan.send_ids.items())
+            )
+            return (
+                cdg.is_general
+                and bool(np.all(ghosts == cplan.ghost_ids * 7 + 1))
+                and slots_ok,
+                not np.array_equal(concat, cplan.ghost_ids),
+            )
+
+        values = spmd(3, prog).values
+        assert all(ok for ok, _ in values)
+        # The layout really exercises the non-monotone case.
+        assert any(out_of_order for _, out_of_order in values)
 
     def test_wrong_length_rejected(self):
         g = ring_graph(8)
