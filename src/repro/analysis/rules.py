@@ -59,7 +59,6 @@ COLLECTIVE_METHODS = frozenset(
 COLLECTIVE_HELPERS = frozenset(
     {
         "_apply_community_deltas",
-        "_community_placement",
         "_component_labels",
         "_exact_modularity",
         "_exchange_changed",
@@ -112,7 +111,7 @@ RECV_METHODS = frozenset({"recv", "irecv"})
 RANK_ATTRIBUTES = frozenset({"rank", "world_rank"})
 
 #: Calls returning per-rank data (ownership lookups).
-RANK_CALLS = frozenset({"owner_of", "owner"})
+RANK_CALLS = frozenset({"owner_of"})
 
 #: ``random``-module functions that draw from an unseeded global state.
 UNSEEDED_RANDOM_FUNCS = frozenset(

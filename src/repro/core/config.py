@@ -72,10 +72,6 @@ CACHE_KEY_FIELDS = frozenset(
         "refine",
         "resolution",
         "track_assignments",
-        # Layout-only by design — assignments and modularity stay
-        # bit-identical — but checkpoints store the partitioned graph,
-        # so resuming across repartition modes must be refused.
-        "repartition",
     }
 )
 
@@ -171,16 +167,6 @@ class LouvainConfig:
     #: Gather per-phase vertex-community associations to rank 0
     #: ("quality assessment feature", §V-D).  Costs extra collectives.
     track_assignments: bool = False
-    #: Phase-boundary layout: "none" re-establishes the paper's even
-    #: split at every reconstruction (§IV-A step 6); "community" places
-    #: whole coarse communities on ranks via the greedy repartitioner,
-    #: shrinking the next phase's ghost fraction at the source.
-    #: Assignments and modularity are bit-identical either way for the
-    #: deterministic variants on integer-weighted graphs (every float is
-    #: then an order-independent integer sum); ET/ETC randomness and
-    #: arbitrary float weights are layout-sensitive in the last ulp,
-    #: exactly as changing the rank count is.
-    repartition: str = "none"
     #: Debug mode: audit the distributed state (C_info vs ground truth,
     #: partition sanity, ghost coherence) after every phase and raise on
     #: any inconsistency.  Expensive; for tests and debugging.
@@ -210,11 +196,6 @@ class LouvainConfig:
         if self.refine not in ("none", "leiden"):
             raise ValueError(
                 f"refine must be 'none' or 'leiden', got {self.refine!r}"
-            )
-        if self.repartition not in ("none", "community"):
-            raise ValueError(
-                f"repartition must be 'none' or 'community', got "
-                f"{self.repartition!r}"
             )
         if not self.threshold_cycle:
             raise ValueError("threshold_cycle must be non-empty")

@@ -440,8 +440,8 @@ def louvain_phase_distributed(
         # every stored entry evaluate under the *post-move* assignment:
         # the estimate is then a function of the global assignment alone
         # and cannot depend on which endpoints happen to be rank-local
-        # under the current layout (a requirement for repartitioned runs
-        # to stay bit-identical).  The sweep itself keeps the
+        # under the current layout (a requirement for results to stay
+        # bit-identical across rank counts).  The sweep itself keeps the
         # intentionally stale view of §III-B — only the convergence test
         # sees fresh values.
         ghost_comm = ghosts.publish(comm, local_comm)
@@ -458,7 +458,7 @@ def louvain_phase_distributed(
         # a_c^2 is summed *before* dividing by w^2 (like
         # _exact_modularity) so the reduction is exact for integer
         # weights — the per-rank grouping of communities then cannot
-        # perturb Q, which keeps repartitioned layouts bit-identical.
+        # perturb Q, which keeps every rank count bit-identical.
         partial = np.array(
             [
                 local_in,
@@ -558,8 +558,7 @@ def _fetch_community_info(
     """
     owners = np.asarray(dg.owner_of(needed))
     # ``needed`` is sorted; split_by_rank keeps that order within each
-    # rank's slice (stable), so payloads stay deterministic even when a
-    # general partition makes ``owners`` non-monotonic.
+    # rank's slice (stable), so payloads stay deterministic.
     requests = [
         ids if r != comm.rank else np.empty(0, np.int64)
         for r, (ids,) in enumerate(split_by_rank(owners, comm.size, needed))
@@ -774,7 +773,7 @@ def _vertex_following_targets(
     # Stored-entry count of each leaf's neighbour, wherever it lives.
     tgt_deg = remote_lookup(
         comm,
-        dg.owner_of,
+        dg.offsets,
         leaf_targets,
         lambda ids: entry_counts[dg.to_local(ids)],
         category="rebuild",
@@ -889,14 +888,11 @@ def distributed_louvain(
             # and resumed runs restore the post-merge graph from the
             # checkpoint, so both paths stay bit-identical.
             vf_local, vf_ghost = _vertex_following_targets(comm, dg, config)
-            vf_dg, vf_new = rebuild_distributed(
-                comm, dg, vf_local, vf_ghost,
-                repartition=config.repartition,
-            )
+            vf_dg, vf_new = rebuild_distributed(comm, dg, vf_local, vf_ghost)
             pre_dg = dg
             orig_slice = remote_lookup(
                 comm,
-                pre_dg.owner_of,
+                pre_dg.offsets,
                 orig_slice,
                 lambda ids: vf_new[pre_dg.to_local(ids)],
                 category="rebuild",
@@ -997,12 +993,11 @@ def distributed_louvain(
         n_edges = comm.allreduce(dg.num_local_entries, category="allreduce")
         # Achieved layout quality of the graph this phase ran on: the
         # cross-rank fraction of stored adjacency entries.  One small
-        # allreduce; this is what repartition="community" shrinks and
-        # what the tuner's cost model wants fed back.
+        # allreduce, read by PhaseStats and the engine's ghost gauge.
         cross = int(np.count_nonzero(~dg.is_owned(dg.edges)))
         cross_total = comm.allreduce(
             np.array([cross, dg.num_local_entries], dtype=np.int64),
-            category="partition",
+            category="allreduce",
         )
         ghost_fraction = (
             float(cross_total[0] / cross_total[1]) if cross_total[1] else 0.0
@@ -1065,8 +1060,7 @@ def distributed_louvain(
             ).raise_if_failed()
 
         new_dg, local_new = rebuild_distributed(
-            comm, dg, out.local_comm, out.ghost_comm,
-            repartition=config.repartition,
+            comm, dg, out.local_comm, out.ghost_comm
         )
         # The per-iteration modularity is computed against the stale
         # ghost view (the paper's semantics).  The coarsened graph gives
@@ -1079,7 +1073,7 @@ def distributed_louvain(
         old_dg = dg
         orig_slice = remote_lookup(
             comm,
-            old_dg.owner_of,
+            old_dg.offsets,
             orig_slice,
             lambda ids: local_new[old_dg.to_local(ids)],
             category="rebuild",

@@ -19,13 +19,7 @@ from .distalgo import (
 from .distgraph import DistGraph, GhostPlan
 from .edgelist import EdgeList
 from .metrics import GraphStats, connected_components, graph_stats, is_connected
-from .partition import (
-    even_edge,
-    even_vertex,
-    local_counts,
-    owner_of,
-    place_communities,
-)
+from .partition import even_edge, even_vertex, local_counts, owner_of
 from .textio import (
     TextFormatError,
     convert_to_binary,
@@ -54,7 +48,6 @@ __all__ = [
     "is_connected",
     "local_counts",
     "owner_of",
-    "place_communities",
     "TextFormatError",
     "convert_to_binary",
     "read_edgelist",

@@ -58,10 +58,7 @@ class GhostPlan:
         Sorted global ids of this rank's ghost vertices.
     recv_ids:
         ``{owner_rank: sorted global ids we receive from that rank}``.
-        Every ghost appears under exactly one owner.  Owners need not be
-        monotone in id (a ``repartition="community"`` layout is not), so
-        the rank-order concatenation is *not* in general the
-        ``ghost_ids`` order; values are placed through ``recv_slots``.
+        Every ghost appears under exactly one owner.
     send_ids:
         ``{dest_rank: our owned global ids that dest keeps as ghosts}``.
     send_slots:
@@ -100,9 +97,8 @@ class DistGraph:
     Attributes
     ----------
     offsets:
-        Global vertex partition, ``int64[p + 1]``, when the partition is
-        contiguous (the paper's layout); ``None`` for a general
-        partition, in which case ``owned_ids``/``rank_of`` describe it.
+        Global vertex partition, ``int64[p + 1]``: rank ``i`` owns the
+        contiguous range ``[offsets[i], offsets[i + 1])``.
     rank:
         Owning rank id.
     index / edges / weights:
@@ -110,18 +106,9 @@ class DistGraph:
     total_weight:
         Global ``sum_u k_u`` (replicated on every rank — the paper keeps
         this as part of the modularity denominator).
-    owned_ids:
-        General partition only: sorted global ids of the vertices this
-        rank owns; CSR row ``i`` is vertex ``owned_ids[i]``.
-    rank_of:
-        General partition only: ``int64[num_global_vertices]`` owner map
-        (replicated on every rank, like ``offsets`` is).
-    rank_count:
-        General partition only: total rank count (``offsets`` carries it
-        implicitly in the contiguous case).
     """
 
-    offsets: np.ndarray | None
+    offsets: np.ndarray
     rank: int
     index: np.ndarray
     edges: np.ndarray
@@ -130,48 +117,28 @@ class DistGraph:
     _compressed: np.ndarray | None = field(default=None, repr=False)
     _plan: GhostPlan | None = field(default=None, repr=False)
     _owner_bounds: np.ndarray | None = field(default=None, repr=False)
-    owned_ids: np.ndarray | None = field(default=None, repr=False)
-    rank_of: np.ndarray | None = field(default=None, repr=False)
-    rank_count: int | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     # Shape
     # ------------------------------------------------------------------
     @property
-    def is_general(self) -> bool:
-        """True when the partition is non-contiguous (owned_ids-based)."""
-        return self.owned_ids is not None
-
-    @property
     def nranks(self) -> int:
-        if self.offsets is not None:
-            return len(self.offsets) - 1
-        assert self.rank_count is not None
-        return self.rank_count
+        return len(self.offsets) - 1
 
     @property
     def num_global_vertices(self) -> int:
-        if self.offsets is not None:
-            return int(self.offsets[-1])
-        assert self.rank_of is not None
-        return len(self.rank_of)
+        return int(self.offsets[-1])
 
     @property
     def vbegin(self) -> int:
-        if self.offsets is None:
-            raise ValueError("vbegin is undefined for a general partition")
         return int(self.offsets[self.rank])
 
     @property
     def vend(self) -> int:
-        if self.offsets is None:
-            raise ValueError("vend is undefined for a general partition")
         return int(self.offsets[self.rank + 1])
 
     @property
     def num_local(self) -> int:
-        if self.owned_ids is not None:
-            return len(self.owned_ids)
         return self.vend - self.vbegin
 
     @property
@@ -179,50 +146,30 @@ class DistGraph:
         """Stored adjacency entries on this rank (its share of work)."""
         return len(self.edges)
 
-    def owner(self, vertices: np.ndarray | int):
-        """Rank owning each global vertex id."""
-        return self.owner_of(vertices)
-
     def owner_of(self, ids: np.ndarray | int):
-        """Vectorised owner lookup.
+        """Vectorised owner lookup: rank owning each global vertex id.
 
-        Contiguous partitions search the cached interior boundaries
-        ``offsets[1:-1]`` (computed once and reused); general partitions
-        index the replicated ``rank_of`` map directly.
+        Searches the cached interior boundaries ``offsets[1:-1]``
+        (computed once and reused).
         """
-        if self.rank_of is not None:
-            return self.rank_of[ids]
-        assert self.offsets is not None
         if self._owner_bounds is None:
             self._owner_bounds = np.ascontiguousarray(self.offsets[1:-1])
         return np.searchsorted(self._owner_bounds, ids, side="right")
 
     def to_local(self, ids: np.ndarray | int):
         """Local slot of each *owned* global vertex id."""
-        if self.owned_ids is not None:
-            return np.searchsorted(self.owned_ids, ids)
         return ids - self.vbegin
 
     def from_local(self, slots: np.ndarray | int):
         """Global id of each local slot (inverse of :meth:`to_local`)."""
-        if self.owned_ids is not None:
-            return self.owned_ids[slots]
         return slots + self.vbegin
 
     def is_owned(self, ids: np.ndarray | int):
         """Whether each global id is owned by this rank."""
-        if self.rank_of is not None:
-            return self.rank_of[ids] == self.rank
         return (ids >= self.vbegin) & (ids < self.vend)
 
     def local_vertex_ids(self) -> np.ndarray:
-        """Global ids of owned vertices, in local-slot order (sorted).
-
-        General partitions return the internal ``owned_ids`` array —
-        treat the result as read-only.
-        """
-        if self.owned_ids is not None:
-            return self.owned_ids
+        """Global ids of owned vertices, in local-slot order (sorted)."""
         return np.arange(self.vbegin, self.vend, dtype=np.int64)
 
     def local_degrees(self) -> np.ndarray:

@@ -41,8 +41,10 @@ import numpy as np
 from ..runtime.comm import Communicator
 
 #: Version of the on-disk checkpoint format.  Bump on layout changes;
-#: restore refuses manifests written by a different version.
-CHECKPOINT_FORMAT_VERSION = 1
+#: restore refuses manifests written by a different version.  Version 2
+#: dropped the general (non-contiguous) partition layout, which also
+#: changed every ``LouvainConfig.cache_key()``.
+CHECKPOINT_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 _STEP_RE = re.compile(r"^step-(\d{6,})$")

@@ -31,8 +31,10 @@ from typing import Any, Mapping
 from ..core.config import LouvainConfig
 from .features import GraphFeatures, feature_distance
 
-#: On-disk document version; bump on incompatible layout changes.
-DB_FORMAT_VERSION = 1
+#: On-disk document version; bump on incompatible layout changes.  The
+#: reader accepts only this version: v1 records carry configs with a
+#: since-removed layout field and the v4 feature vector.
+DB_FORMAT_VERSION = 2
 
 #: Default feature-space radius inside which a neighbour's plan is
 #: considered transferable.  Vector axes are normalised to ~unit scale
@@ -356,10 +358,10 @@ def _read_file(path: str) -> dict[str, TuningRecord]:
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ValueError(f"{path}: not a tuning DB document")
     version = doc.get("version", 0)
-    if not 1 <= version <= DB_FORMAT_VERSION:
+    if version != DB_FORMAT_VERSION:
         raise ValueError(
             f"{path}: tuning DB version {version} not supported "
-            f"(this build reads 1..{DB_FORMAT_VERSION})"
+            f"(this build reads version {DB_FORMAT_VERSION})"
         )
     out: dict[str, TuningRecord] = {}
     for fp, entry in doc["entries"].items():

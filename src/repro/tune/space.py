@@ -76,8 +76,6 @@ class Candidate:
             extras.append("vf")
         if cfg.refine != "none":
             extras.append(f"refine={cfg.refine}")
-        if cfg.repartition != "none":
-            extras.append(f"repart={cfg.repartition}")
         tail = (" " + " ".join(extras)) if extras else ""
         return f"{cfg.label()} x{self.ranks}{tail}"
 
@@ -113,9 +111,6 @@ class SearchSpace:
     community_push: tuple[bool, ...] = (False, True)
     ghost_delta: tuple[bool, ...] = (False, True)
     neighbor_collectives: tuple[bool, ...] = (False,)
-    #: Phase-boundary layouts (outcome-identical for the deterministic
-    #: variants; runtime differs via the coarse ghost fraction).
-    repartitions: tuple[str, ...] = ("none", "community")
     #: Grappolo heuristics and Leiden refinement (quality/speed axes —
     #: these change the detection *outcome*, so the Pareto frontier is
     #: where their trade-offs surface).  The resolution parameter is
@@ -181,26 +176,12 @@ class SearchSpace:
                             for delta in self.ghost_delta:
                                 for nbr in self.neighbor_collectives:
                                     for ranks in self.rank_counts:
-                                        # Repartitioning is a no-op on a
-                                        # single rank: pin it there so the
-                                        # space stays alias-free.
-                                        reparts = (
-                                            self.repartitions
-                                            if ranks > 1
-                                            else (base.repartition,)
-                                        )
                                         heuristics = product(
-                                            reparts,
                                             self.colorings,
                                             self.vertex_following,
                                             self.refines,
                                         )
-                                        for (
-                                            repart,
-                                            coloring,
-                                            vf,
-                                            refine,
-                                        ) in heuristics:
+                                        for coloring, vf, refine in heuristics:
                                             try:
                                                 config = replace(
                                                     base,
@@ -213,7 +194,6 @@ class SearchSpace:
                                                     community_push_updates=push,
                                                     ghost_delta_updates=delta,
                                                     use_neighbor_collectives=nbr,
-                                                    repartition=repart,
                                                     use_coloring=coloring,
                                                     vertex_following=vf,
                                                     refine=refine,

@@ -137,6 +137,12 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="unknown"):
             LouvainConfig.from_dict({"tau": 1e-6, "warp_speed": True})
 
+    def test_from_dict_rejects_removed_layout_field(self):
+        # Old job specs and tuning records carry the removed
+        # phase-boundary layout knob; they are refused, never aliased.
+        with pytest.raises(ValueError, match="unknown"):
+            LouvainConfig.from_dict({"repartition": "none"})
+
     def test_from_dict_partial_uses_defaults(self):
         cfg = LouvainConfig.from_dict({"seed": 42})
         assert cfg.seed == 42

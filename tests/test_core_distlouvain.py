@@ -185,3 +185,23 @@ class TestStatsTracking:
         cfg = LouvainConfig(max_phases=1)
         r = run_louvain(planted_blocks, 4, cfg, machine=FREE)
         assert r.num_phases == 1
+
+
+class TestGhostFraction:
+    @staticmethod
+    def _graph():
+        return planted_blocks_graph(
+            blocks=6, per_block=15, p_in=0.5, inter_edges=40, seed=5
+        )
+
+    def test_measured_on_every_distributed_phase(self):
+        res = run_louvain(self._graph(), 2, machine=CORI_HASWELL)
+        assert all(p.ghost_fraction >= 0.0 for p in res.phases)
+        # The per-phase measurement is charged as an ordinary allreduce.
+        by_category = res.trace.seconds_by_category()
+        assert "partition" not in by_category
+        assert by_category["allreduce"] > 0.0
+
+    def test_single_rank_is_all_local(self):
+        res = run_louvain(self._graph(), 1, machine=FREE)
+        assert all(p.ghost_fraction == 0.0 for p in res.phases)

@@ -256,6 +256,34 @@ class TestConfigKeyGuard:
         res = run_louvain(g, 2, push_cfg, checkpoint_dir=d, resume=True)
         np.testing.assert_array_equal(ref.assignment, res.assignment)
 
+    def test_v1_manifest_refused_by_version(self, tmp_path):
+        """Checkpoints from format v1 (which could hold a non-contiguous
+        layout) are refused with the version message, so a resume finds
+        no valid checkpoint instead of tripping the config-key guard."""
+        import json
+
+        from repro.resilience import NoCheckpointError
+
+        g, cfg = _graph(), _config()
+        d = str(tmp_path / "ck")
+        _crash(g, 2, cfg, d, FaultPlan(kills={1: 40}))
+        steps = [name for name, m, _ in scan_checkpoints(d) if m is not None]
+        assert steps
+        for name in steps:
+            path = os.path.join(d, name, "manifest.json")
+            with open(path) as fh:
+                raw = json.load(fh)
+            raw["version"] = 1
+            with open(path, "w") as fh:
+                json.dump(raw, fh)
+        for name, manifest, error in scan_checkpoints(d):
+            assert manifest is None
+            assert "checkpoint format version 1 is not supported" in error
+        with pytest.raises(
+            (NoCheckpointError, RankFailedError), match="no valid checkpoint"
+        ):
+            run_louvain(g, 2, cfg, checkpoint_dir=d, resume=True)
+
     def test_manifest_records_config_key(self, tmp_path):
         g, cfg = _graph(), _config()
         d = str(tmp_path / "ck")

@@ -104,6 +104,14 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not supported"):
             TuningDB(path)
 
+    def test_v1_document_refused(self, tmp_path):
+        # v1 records hold configs with a since-removed field and the v4
+        # feature vector: refused by version, not half-loaded.
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"version": 1, "entries": {}}))
+        with pytest.raises(ValueError, match="version 1 not supported"):
+            TuningDB(path)
+
     def test_no_tmp_litter(self, channel, tmp_path):
         path = tmp_path / "db.json"
         db = TuningDB(path)

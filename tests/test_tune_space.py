@@ -96,7 +96,6 @@ class TestHeuristicAxes:
             rank_counts=(2,),
             community_push=(False,),
             ghost_delta=(False,),
-            repartitions=("none",),
         ).candidates()
         combos = {
             (c.config.use_coloring, c.config.vertex_following, c.config.refine)
